@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
 	"time"
 
 	"eyewnder/internal/backend"
@@ -142,37 +144,56 @@ func (d *deployment) walTail() (int64, error) {
 	return 0, errors.New("no active WAL segment")
 }
 
-// timedSetups deploys n times into fresh directories and keeps the last
-// deployment; the others are torn down and removed. It returns every
-// set-up time: store open, back-end construction, campaign provisioning,
-// serve, and dial plus handshake.
-func timedSetups(s *spec, dirFor func(i int) string, n int, tr *tracer) (*deployment, []float64, error) {
+// timedSetups deploys into each of dirs in turn and keeps the last
+// deployment; the others are torn down. It returns every set-up time:
+// store open, back-end construction, campaign provisioning, serve, and
+// dial plus handshake. The directories are created and made durable
+// before the first deployment, and the caller removes them after the
+// run, so no directory create or remove is pending in the filesystem
+// journal when a deployment's own fsyncs commit it.
+func timedSetups(s *spec, dirs []string, tr *tracer) (*deployment, []float64, error) {
+	for _, dir := range dirs {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := syncDir(filepath.Dir(dirs[0])); err != nil {
+		return nil, nil, err
+	}
 	var times []float64
-	for i := 0; i < n; i++ {
-		dir := dirFor(i)
+	for i, dir := range dirs {
 		start := time.Now()
 		dep, err := deploy(s, dir, tr)
 		if err != nil {
 			return nil, nil, err
 		}
 		times = append(times, time.Since(start).Seconds())
-		if i == n-1 {
+		if i == len(dirs)-1 {
 			return dep, times, nil
 		}
-		err = dep.teardown()
-		if rmErr := os.RemoveAll(dir); err == nil {
-			err = rmErr
-		}
-		if err != nil {
+		if err := dep.teardown(); err != nil {
 			return nil, nil, err
 		}
 	}
 	return nil, nil, errors.New("no set-up requested")
 }
 
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // recoveryRuns is how many times a run re-opens its data directory;
 // the recovery times are medians.
-const recoveryRuns = 9
+const recoveryRuns = 15
 
 // recovery is the outcome of re-opening a run's data directory: the
 // median store.Open time, backend.New time and their sum.
@@ -187,6 +208,9 @@ type recovery struct {
 func recoverDir(s *spec, dir string, lastTh map[uint32]closedRound) (recovery, error) {
 	var open, restore, total []float64
 	for i := 0; i < recoveryRuns; i++ {
+		// Recovery runs in a fresh process: start each from a collected
+		// heap, not from the garbage of the run or the last recovery.
+		runtime.GC()
 		o, r, err := recoverOnce(s, dir, lastTh)
 		if err != nil {
 			return recovery{}, err

@@ -33,8 +33,10 @@ type campInputs struct {
 	id     uint32
 	params privacy.Params
 	d, w   int
-	// frames[a][u] is user u's blinded report under ad-set template a.
+	// frames[a][u] is user u's blinded report under ad-set template a,
+	// and ads[a][u] the distinct ads it counts.
 	frames [][]*wire.ReportFrame
+	ads    [][][]uint64
 	plans  []*plan
 }
 
@@ -121,15 +123,19 @@ func prepareCampaign(s *spec, seed uint64, roster *blind.Roster, id uint32, p pr
 		pads[u] = parties[u].Blinding(padRound, cells)
 	}
 
-	// ads[a][u] is user u's distinct ad set under template a; popular
-	// ads are shared across users so per-ad counts exceed one.
+	// Popular ads are shared across users so per-ad counts exceed one.
 	label := fmt.Sprintf("ads/%d", id)
 	rng := rngFor(s.name, seed, label)
-	pool := make([]uint64, s.popular)
-	for i := range pool {
-		pool[i] = rng.Uint64N(p.IDSpace)
+	inPool := make(map[uint64]bool, s.adsPerUser)
+	pool := make([]uint64, 0, s.adsPerUser)
+	for len(pool) < s.adsPerUser {
+		if ad := rng.Uint64N(p.IDSpace); !inPool[ad] {
+			inPool[ad] = true
+			pool = append(pool, ad)
+		}
 	}
 	ads := make([][][]uint64, s.adSets)
+	c.ads = ads
 	sums := make([][]uint64, s.adSets)
 	sumN := make([]uint64, s.adSets)
 	scratch, err := sketch.NewWithDimensions(d, w)
@@ -143,7 +149,7 @@ func prepareCampaign(s *spec, seed uint64, roster *blind.Roster, id uint32, p pr
 		for u := 0; u < s.users; u++ {
 			set := make(map[uint64]bool, s.adsPerUser)
 			for len(set) < s.adsPerUser {
-				if len(set)%2 == 0 && len(pool) > 0 {
+				if len(set)%2 == 0 {
 					set[pool[rng.IntN(len(pool))]] = true
 				} else {
 					set[rng.Uint64N(p.IDSpace)] = true

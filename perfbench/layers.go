@@ -74,10 +74,10 @@ func layerMetrics(tr *tracer, a, b *pass, prepS float64) (map[string]metric, *cl
 		"store.open_s":               {b.rec.openS, "s"},
 		"gen.prep_s":                 {prepS, "s"},
 		"gen.late_p99_ms":            {percentile(rb.rec.late, 99), "ms"},
-		"trace.overhead":             {ingestRPS(rb) / ingestRPS(a.run), "ratio"},
+		"trace.overhead":             {rb.ingestRPS() / a.run.ingestRPS(), "ratio"},
 	}
 	cs := &closeSum{
-		CloseP50MS:      percentile(rb.rec.close, 50),
+		CloseP50MS:      percentile(rb.rec.close.v, 50),
 		SelfMS:          m["backend.close_self_ms"].Value,
 		StoreChildrenMS: median(closeChildren),
 		JSONOverheadMS:  median(jsonOverhead(spans, kDoClose, kHandleClose)),
@@ -85,8 +85,6 @@ func layerMetrics(tr *tracer, a, b *pass, prepS float64) (map[string]metric, *cl
 	cs.Ratio = (cs.SelfMS + cs.StoreChildrenMS + cs.JSONOverheadMS) / cs.CloseP50MS
 	return m, cs
 }
-
-func ingestRPS(r *run) float64 { return float64(r.rec.accepted) / r.rec.ingest.Seconds() }
 
 // jsonOverhead pairs each server-side handler span of kind server with
 // the client request span of kind client that encloses it — one request

@@ -30,7 +30,7 @@ const outDir = ".bench_build/perfbench"
 
 // setupRuns is how many times a run deploys from scratch; setup_s is the
 // median.
-const setupRuns = 31
+const setupRuns = 101
 
 type metric struct {
 	Value float64 `json:"value"`
@@ -84,6 +84,7 @@ func realMain() int {
 	seconds := flag.Int("seconds", 12, "measured seconds per pass")
 	trace := flag.Int("trace", 0, "1 runs an untraced and a traced pass and prints the per-layer metrics")
 	compare := flag.Bool("compare", false, "compare two saved results: -compare old.json new.json")
+	saturate := flag.Bool("saturate", false, "drive an open-loop workload's shape closed-loop and print the rates it sustains")
 	flag.Parse()
 	runtime.GOMAXPROCS(runtime.NumCPU())
 
@@ -107,6 +108,13 @@ func realMain() int {
 	if err := os.MkdirAll(filepath.Join(outDir, "data"), 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		return 1
+	}
+	if *saturate {
+		if err := saturation(s, *seed, time.Duration(*seconds)*time.Second); err != nil {
+			fmt.Fprintln(os.Stderr, "perfbench:", err)
+			return 1
+		}
+		return 0
 	}
 	out := execute(s, *seed, time.Duration(*seconds)*time.Second, *trace == 1)
 	for name, m := range out.Result.Metrics {
@@ -163,19 +171,26 @@ type pass struct {
 	rec    recovery
 }
 
-// runPass deploys (setups times, keeping the last), measures, tears down,
-// times recovery on the data directory and removes it.
+// runPass deploys setups times, keeping one deployment, measures, tears
+// down, times recovery on the data directory and removes every
+// directory. The set-ups are taken in two halves, before the measured
+// phase and after recovery, half a minute apart, so that one episode of
+// host contention moves fewer of them.
 func runPass(s *spec, seed uint64, in *inputs, d time.Duration, tr *tracer, setups int, tag string) (*pass, error) {
-	dirFor := func(i int) string {
-		return filepath.Join(outDir, "data", fmt.Sprintf("%s-%s-%d-%d", s.name, tag, os.Getpid(), i))
+	dirs := make([]string, setups)
+	for i := range dirs {
+		dirs[i] = filepath.Join(outDir, "data", fmt.Sprintf("%s-%s-%d-%d", s.name, tag, os.Getpid(), i))
 	}
 	defer func() {
-		for i := 0; i < setups; i++ {
-			os.RemoveAll(dirFor(i))
+		for _, dir := range dirs {
+			os.RemoveAll(dir)
 		}
 	}()
-	dir := dirFor(setups - 1)
-	dep, times, err := timedSetups(s, dirFor, setups, tr)
+	before := setups/2 + 1
+	// A deployment starts in a fresh process; collecting the generator's
+	// preparation garbage first keeps a GC cycle out of the set-ups.
+	runtime.GC()
+	dep, times, err := timedSetups(s, dirs[:before], tr)
 	if err != nil {
 		return nil, err
 	}
@@ -185,8 +200,19 @@ func runPass(s *spec, seed uint64, in *inputs, d time.Duration, tr *tracer, setu
 	if err := errors.Join(runErr, dep.teardown()); err != nil {
 		return p, err
 	}
-	p.rec, err = recoverDir(s, dir, p.run.lastClosed)
-	return p, err
+	if p.rec, err = recoverDir(s, dep.dir, p.run.lastClosed); err != nil {
+		return p, err
+	}
+	if before == setups {
+		return p, nil
+	}
+	runtime.GC()
+	last, more, err := timedSetups(s, dirs[before:], tr)
+	if err != nil {
+		return p, err
+	}
+	p.setups = append(p.setups, more...)
+	return p, last.teardown()
 }
 
 // execute runs the workload and assembles the output. Any error marks
@@ -261,6 +287,49 @@ func execute(s *spec, seed uint64, d time.Duration, traced bool) *saved {
 	return out
 }
 
+// saturation drives an open-loop workload's shape closed-loop: every
+// burst of frames goes out as soon as the previous one is acknowledged,
+// and every audit as soon as the previous one is answered. The rates it
+// achieves are the shape's saturation point on this host, the reference
+// the workload's offered rates are chosen against (see README.md).
+// Frames per second count only the time the frame schedule runs, as the
+// open loop's offered rate does: closes and checks hold it.
+func saturation(s *spec, seed uint64, d time.Duration) error {
+	if !s.openLoop() {
+		return fmt.Errorf("-saturate: %s is not an open-loop workload", s.name)
+	}
+	sat := *s
+	sat.frameRate, sat.auditRate = math.Inf(1), math.Inf(1)
+	in, err := prepare(&sat, seed)
+	if err != nil {
+		return fmt.Errorf("preparing inputs: %w", err)
+	}
+	p, err := runPass(&sat, seed, in, d, nil, 1, "sat")
+	if err == nil {
+		err = check(p)
+	}
+	if err != nil {
+		return err
+	}
+	r := p.run
+	measured := r.measuredEnd.Sub(r.measuredStart)
+	frames, _ := r.rec.accepted()
+	line, err := json.Marshal(map[string]any{
+		"workload":             s.name,
+		"seed":                 seed,
+		"env":                  stamp(filepath.Join(outDir, "data"), s.sync),
+		"frames_per_s":         float64(frames) / (measured - r.held).Seconds(),
+		"audits_per_s":         float64(len(r.rec.audit.v)) / measured.Seconds(),
+		"offered_frames_per_s": s.frameRate,
+		"offered_audits_per_s": s.auditRate,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(line))
+	return nil
+}
+
 // check is the correctness gate of one pass beyond the per-round oracle
 // checks the loop already made: every submitted report and share was
 // accepted, nothing failed, and every close was verified.
@@ -290,8 +359,8 @@ func fillDetail(dt *detail, p *pass) {
 		dt.Ops[opNames[i]] = opTotals{Attempted: o.attempted, Failed: o.failed}
 	}
 	dt.Samples = map[string]int{
-		"setup": len(p.setups), "ack": len(r.rec.ack), "close": len(r.rec.close),
-		"audit": len(r.rec.audit), "recover": recoveryRuns,
+		"setup": len(p.setups), "ack": len(r.rec.ack.v), "close": len(r.rec.close.v),
+		"audit": len(r.rec.audit.v), "recover": recoveryRuns,
 	}
 	dt.MeasuredS = r.measuredEnd.Sub(r.measuredStart).Seconds()
 	dt.MeasuredRounds = r.measuredRounds
@@ -305,9 +374,9 @@ func fillDetail(dt *detail, p *pass) {
 // repeat within the benchmark's bounds (see README.md).
 func tails(r *run) map[string]metric {
 	return map[string]metric{
-		"ack_p99_ms":   {percentile(r.rec.ack, 99), "ms"},
-		"close_p90_ms": {percentile(r.rec.close, 90), "ms"},
-		"audit_p99_ms": {percentile(r.rec.audit, 99), "ms"},
+		"ack_p99_ms":   {percentile(r.rec.ack.v, 99), "ms"},
+		"close_p90_ms": {percentile(r.rec.close.v, 90), "ms"},
+		"audit_p99_ms": {percentile(r.rec.audit.v, 99), "ms"},
 	}
 }
 
@@ -321,10 +390,10 @@ func endToEnd(p *pass) result {
 	}
 	m := res.Metrics
 	m["setup_s"] = metric{median(p.setups), "s"}
-	m["ingest_rps"] = metric{float64(r.rec.accepted) / r.rec.ingest.Seconds(), "1/s"}
-	m["ack_p50_ms"] = metric{percentile(r.rec.ack, 50), "ms"}
-	m["close_p50_ms"] = metric{percentile(r.rec.close, 50), "ms"}
-	m["audit_p50_ms"] = metric{percentile(r.rec.audit, 50), "ms"}
+	m["ingest_rps"] = metric{r.ingestRPS(), "1/s"}
+	m["ack_p50_ms"] = metric{r.p50(&r.rec.ack), "ms"}
+	m["close_p50_ms"] = metric{r.p50(&r.rec.close), "ms"}
+	m["audit_p50_ms"] = metric{r.p50(&r.rec.audit), "ms"}
 	m["recover_s"] = metric{p.rec.totalS, "s"}
 	if r.heap != nil {
 		m["heap_peak_mb"] = metric{r.heap.peakMB(), "MB"}

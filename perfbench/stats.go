@@ -31,35 +31,74 @@ func percentile(xs []float64, p float64) float64 {
 
 func median(xs []float64) float64 { return percentile(xs, 50) }
 
-// heapSampler samples the live Go heap (what the last GC found
-// reachable) every 2 ms while the measured phase runs and keeps each
-// one-second window's peak.
+// windows is how many equal time windows the measured phase is cut into.
+// The gated p50s and ingest_rps are medians over the windows' values: on
+// a shared VM, host contention comes and goes over seconds, and a stall
+// episode shorter than half the run then does not move them, while a
+// change that slows every window does.
+const windows = 10
+
+// window returns the index of the window t falls in.
+func (r *run) window(t time.Time) int {
+	i := int(windows * t.Sub(r.measuredStart).Seconds() / r.measuredEnd.Sub(r.measuredStart).Seconds())
+	return min(max(i, 0), windows-1)
+}
+
+// p50 is the median over the windows of each window's median sample.
+func (r *run) p50(s *series) float64 {
+	var per [windows][]float64
+	for i, v := range s.v {
+		w := r.window(s.at[i])
+		per[w] = append(per[w], v)
+	}
+	var meds []float64
+	for _, xs := range per {
+		if len(xs) > 0 {
+			meds = append(meds, median(xs))
+		}
+	}
+	return median(meds)
+}
+
+// ingestRPS is the median over the windows of the frames acknowledged
+// per second of ingest in each.
+func (r *run) ingestRPS() float64 {
+	var frames [windows]int
+	var busy [windows]time.Duration
+	for _, x := range r.rec.ingest {
+		w := r.window(x.end)
+		frames[w] += x.frames
+		busy[w] += x.busy
+	}
+	var rates []float64
+	for w := range frames {
+		if busy[w] > 0 {
+			rates = append(rates, float64(frames[w])/busy[w].Seconds())
+		}
+	}
+	return median(rates)
+}
+
+// heapSampler samples the Go heap in use — live objects plus dead ones
+// the GC has not yet freed — every millisecond while the measured phase
+// runs and keeps the peak.
 type heapSampler struct {
 	quit, done chan struct{}
-	peaks      []float64 // bytes, one per window
+	peak       uint64 // bytes
 }
 
 func startHeapSampler() *heapSampler {
 	h := &heapSampler{quit: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(h.done)
-		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
-		tick := time.NewTicker(2 * time.Millisecond)
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
-		var peak uint64
-		window := time.Now()
 		for {
 			metrics.Read(sample)
-			peak = max(peak, sample[0].Value.Uint64())
-			if time.Since(window) >= time.Second {
-				h.peaks = append(h.peaks, float64(peak))
-				peak, window = 0, time.Now()
-			}
+			h.peak = max(h.peak, sample[0].Value.Uint64())
 			select {
 			case <-h.quit:
-				if len(h.peaks) == 0 {
-					h.peaks = append(h.peaks, float64(peak))
-				}
 				return
 			case <-tick.C:
 			}
@@ -68,16 +107,13 @@ func startHeapSampler() *heapSampler {
 	return h
 }
 
-// stop ends sampling; peaks are final once it returns.
+// stop ends sampling; the peak is final once it returns.
 func (h *heapSampler) stop() {
 	close(h.quit)
 	<-h.done
 }
 
-// peakMB is the median of the one-second peaks: the live heap a steady
-// run peaks at, not the one window where a GC happened to mark during a
-// snapshot's transient copy of the round states.
-func (h *heapSampler) peakMB() float64 { return median(h.peaks) / (1 << 20) }
+func (h *heapSampler) peakMB() float64 { return float64(h.peak) / (1 << 20) }
 
 // envStamp is recorded with every result.
 type envStamp struct {

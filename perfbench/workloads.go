@@ -19,14 +19,16 @@ import (
 // spec is one workload's fixed shape: deployment geometry, roster, the
 // seeded input plan, and how the generator drives it.
 type spec struct {
-	name       string
-	base       privacy.Params      // campaign 0 (the deployment's own geometry)
-	campaigns  []campaign.Campaign // provisioned beyond campaign 0
-	users      int                 // roster size of every campaign
-	plans      int                 // round shapes cycled per campaign
-	adSets     int                 // ad-set templates cycled by the plans
+	name      string
+	base      privacy.Params      // campaign 0 (the deployment's own geometry)
+	campaigns []campaign.Campaign // provisioned beyond campaign 0
+	users     int                 // roster size of every campaign
+	plans     int                 // round shapes cycled per campaign
+	adSets    int                 // ad-set templates cycled by the plans
+	// adsPerUser is each user's distinct ads per round; half of them
+	// come from a campaign-wide pool of adsPerUser popular ads, so a
+	// popular ad is seen by about half the roster.
 	adsPerUser int
-	popular    int // shared popular-ad pool per campaign
 	// darkEvery and dark: in campaign 0, every darkEvery-th plan has dark
 	// users who send nothing, so that round closes through the
 	// adjustment round (0 = nobody ever goes dark).
@@ -34,12 +36,10 @@ type spec struct {
 	sync            store.SyncMode // WAL fsync policy (zero: batch, the ack is an fsync barrier)
 	snapshotEvery   int            // store snapshot cadence in report appends (0 = store default)
 	retain          int            // closed rounds each campaign keeps
-	// Closed loop: audits issued on the control connection after each
-	// close. Open loop (a nonzero frame rate): offered frame and audit
-	// rates per second.
-	auditsPerClose       int
+	// Open loop (a nonzero frame rate): offered frame and audit rates
+	// per second. Closed loops instead audit, after each close, every ad
+	// one seeded reporter saw.
 	frameRate, auditRate float64
-	burst                int // open loop: frames sent (and flushed) together
 }
 
 func (s *spec) openLoop() bool { return s.frameRate > 0 }
@@ -55,27 +55,39 @@ func paper(idSpace uint64) privacy.Params {
 var specs = []*spec{
 	{
 		name: "ingest_paper", base: paper(20000),
-		users: 128, plans: 16, adSets: 2, adsPerUser: 24, popular: 400,
+		users: 128, plans: 16, adSets: 2, adsPerUser: simAds,
 		darkEvery: 16, dark: 1,
-		retain: 4, auditsPerClose: 16,
+		retain: 4,
 	},
 	{
 		name: "close_churn", base: paper(1 << 20),
-		users: 16, plans: 8, adSets: 8, adsPerUser: 24, popular: 64,
+		users: 16, plans: 8, adSets: 8, adsPerUser: simAds,
 		darkEvery: 1, dark: 4,
-		snapshotEvery: 512, retain: 4, auditsPerClose: 32,
+		snapshotEvery: 512, retain: 4,
 	},
 	{
 		name: "audit_mixed",
 		base: privacy.Params{Epsilon: 0.01, Delta: 0.01, IDSpace: 20000,
 			Suite: privacy.DefaultParams().Suite, Keystream: blind.KeystreamAESCTR},
 		campaigns: workloadCampaigns(8, 20000),
-		users:     16, plans: 4, adSets: 4, adsPerUser: 4, popular: 24,
+		// 6 ads: the largest even count whose expected distinct ads per
+		// round (6 popular + 16 users × 3 = 54) stay below the width of
+		// the narrowest campaign sketch (ε = 0.04: w = 68).
+		users: 16, plans: 4, adSets: 4, adsPerUser: 6,
 		darkEvery: 1, dark: 1,
 		sync: store.SyncOff, retain: 4,
-		frameRate: 600, auditRate: 200, burst: 12,
+		// A fiftieth of the rates the same shape sustains closed-loop on
+		// a 2-vCPU host (perfbench --saturate, see README.md).
+		frameRate: 900, auditRate: 480,
 	},
 }
+
+// simAds is the ads per user of eyewnder-sim -load's default.
+const simAds = 50
+
+// burst is how many frames the open loop sends (and flushes) together:
+// one default ack batch, what a proxy forwards per acknowledgement.
+const burst = wire.DefaultAckBatch
 
 // adjustWaitMS is the deadline a close with missing users waits for
 // shares. Shares are always flushed before the close, so it never bites.
@@ -94,23 +106,56 @@ var opNames = [numOps]string{"report", "share", "close", "audit"}
 
 type opCount struct{ attempted, failed int }
 
+// series is one quantity's samples in the measured phase, each with the
+// time it was taken.
+type series struct {
+	v  []float64
+	at []time.Time
+}
+
+func (s *series) add(v float64, at time.Time) {
+	s.v = append(s.v, v)
+	s.at = append(s.at, at)
+}
+
+func (s *series) merge(o *series) {
+	s.v = append(s.v, o.v...)
+	s.at = append(s.at, o.at...)
+}
+
+// ingestSpan is one stretch of ingest: a closed loop's round or an open
+// loop's burst, from its first submit to the ack covering its last frame.
+type ingestSpan struct {
+	end    time.Time
+	frames int // reports + shares acknowledged
+	busy   time.Duration
+}
+
 // recorder accumulates one generator goroutine's measurements. Latencies
 // are in ms; a failed operation records +Inf, so it misses every limit.
 type recorder struct {
-	ack, close, audit []float64
+	ack, close, audit series
 	late              []float64 // generator lateness (open) or own gap between operations (closed)
-	ingest            time.Duration
-	accepted          int // reports + shares acknowledged in the measured phase
+	ingest            []ingestSpan
 	ops               [numOps]opCount
 }
 
+// accepted is the frames acknowledged in the measured phase and the time
+// the ingest took.
+func (r *recorder) accepted() (frames int, busy time.Duration) {
+	for _, x := range r.ingest {
+		frames += x.frames
+		busy += x.busy
+	}
+	return frames, busy
+}
+
 func (r *recorder) merge(o *recorder) {
-	r.ack = append(r.ack, o.ack...)
-	r.close = append(r.close, o.close...)
-	r.audit = append(r.audit, o.audit...)
+	r.ack.merge(&o.ack)
+	r.close.merge(&o.close)
+	r.audit.merge(&o.audit)
 	r.late = append(r.late, o.late...)
-	r.ingest += o.ingest
-	r.accepted += o.accepted
+	r.ingest = append(r.ingest, o.ingest...)
 	for i := range r.ops {
 		r.ops[i].attempted += o.ops[i].attempted
 		r.ops[i].failed += o.ops[i].failed
@@ -148,7 +193,7 @@ func (a *ackTracker) onAck(acked uint64) {
 	now := time.Now()
 	for ; a.observed < acked && a.observed < uint64(len(a.due)); a.observed++ {
 		if t := a.due[a.observed]; !t.IsZero() {
-			a.rec.ack = append(a.rec.ack, ms(now.Sub(t)))
+			a.rec.ack.add(ms(now.Sub(t)), now)
 		}
 	}
 }
@@ -185,6 +230,7 @@ type run struct {
 	measuredRounds       uint64
 	walTailBytes         int64
 	auditFailed          atomic.Bool
+	held                 time.Duration // open loop: measured time the frame schedule was held for closes and checks
 }
 
 func newRun(s *spec, seed uint64, in *inputs, dep *deployment, tr *tracer) *run {
@@ -227,7 +273,7 @@ func (r *run) measure(d time.Duration) error {
 	var pace *pacer
 	stopAudits := func() error { return nil }
 	if r.s.openLoop() {
-		pace = newPacer(r.s.frameRate / float64(r.s.burst))
+		pace = newPacer(r.s.frameRate / burst)
 		stopAudits = r.startAudits()
 	}
 	round := uint64(2)
@@ -340,7 +386,7 @@ func (r *run) submit(rs *wire.ReportStream, rec *recorder, f *wire.ReportFrame, 
 	if r.measuring {
 		rec.count(op, err)
 		if err != nil {
-			rec.ack = append(rec.ack, math.Inf(1))
+			rec.ack.add(math.Inf(1), time.Now())
 		}
 	}
 	if err != nil {
@@ -379,7 +425,7 @@ func (r *run) closeRound(cl *wire.Client, rec *recorder, ci int, round uint64) e
 		if err != nil {
 			lat = math.Inf(1)
 		}
-		rec.close = append(rec.close, lat)
+		rec.close.add(lat, time.Now())
 	}
 	if err != nil {
 		return fmt.Errorf("close campaign %d round %d: %w", c.id, round, err)
@@ -412,11 +458,10 @@ func (r *run) verify(cl *wire.Client, c *campInputs, round uint64) error {
 	return nil
 }
 
-// audit asks #Users for one seeded ad of a closed round and checks it
-// against the oracle sketch.
-func (r *run) audit(cl *wire.Client, rec *recorder, rng *rand.Rand, c *campInputs, round uint64, due time.Time) error {
+// audit asks #Users for one ad of a closed round and checks it against
+// the oracle sketch.
+func (r *run) audit(cl *wire.Client, rec *recorder, c *campInputs, round, ad uint64, due time.Time) error {
 	pl := c.planOf(round)
-	ad := pl.ads[rng.IntN(len(pl.ads))]
 	var resp wire.AuditAdResp
 	i := r.tr.begin(kDoAudit, r.seq.Add(1))
 	err := cl.Do(wire.TypeAuditAd, wire.AuditAdReq{Campaign: c.id, Round: round, AdID: ad}, &resp)
@@ -427,7 +472,7 @@ func (r *run) audit(cl *wire.Client, rec *recorder, rng *rand.Rand, c *campInput
 		if err != nil {
 			lat = math.Inf(1)
 		}
-		rec.audit = append(rec.audit, lat)
+		rec.audit.add(lat, time.Now())
 	}
 	if err != nil {
 		return fmt.Errorf("audit campaign %d round %d ad %d: %w", c.id, round, ad, err)
@@ -472,8 +517,7 @@ func (r *run) closedRound(rs *wire.ReportStream, ctrl *wire.Client, rng *rand.Ra
 		return err
 	}
 	if r.measuring {
-		r.rec.ingest += time.Since(start)
-		r.rec.accepted += len(pl.reporters) + len(pl.shares)
+		r.rec.ingest = append(r.rec.ingest, ingestSpan{time.Now(), len(pl.reporters) + len(pl.shares), time.Since(start)})
 	}
 	if err := r.closeRound(ctrl, &r.rec, 0, round); err != nil {
 		return err
@@ -481,8 +525,9 @@ func (r *run) closedRound(rs *wire.ReportStream, ctrl *wire.Client, rng *rand.Ra
 	if err := r.verify(ctrl, c, round); err != nil {
 		return err
 	}
-	for i := 0; i < r.s.auditsPerClose; i++ {
-		if err := r.audit(ctrl, &r.rec, rng, c, round, time.Now()); err != nil {
+	u := pl.reporters[rng.IntN(len(pl.reporters))]
+	for _, ad := range c.ads[pl.adSet][u] {
+		if err := r.audit(ctrl, &r.rec, c, round, ad, time.Now()); err != nil {
 			return err
 		}
 	}
@@ -570,11 +615,19 @@ func (r *run) cycle(cl *wire.Client, round uint64, pace *pacer, camps int) error
 		return err
 	}
 	rs.OnAck = r.acks.onAck
-	var from time.Time
+	// from is the instant the burst's ack latency counts from; began is
+	// when its first frame was submitted. The server is busy with the
+	// burst from began until the flush returns with the covering ack:
+	// ingest_rps counts those intervals, not the paced gaps between them.
+	var from, began time.Time
 	inBurst := 0
 	endBurst := func() error {
-		inBurst = 0
 		err := r.flush(rs, false)
+		if r.measuring {
+			now := time.Now()
+			r.rec.ingest = append(r.rec.ingest, ingestSpan{now, inBurst, now.Sub(began)})
+		}
+		inBurst = 0
 		if pace != nil {
 			pace.done()
 		}
@@ -583,21 +636,22 @@ func (r *run) cycle(cl *wire.Client, round uint64, pace *pacer, camps int) error
 	send := func(f *wire.ReportFrame) error {
 		f.Round = round
 		if inBurst == 0 {
-			from = time.Now()
 			if pace != nil {
 				from = pace.wait(&r.rec)
+			}
+			began = time.Now()
+			if pace == nil {
+				from = began
 			}
 		}
 		if err := r.submit(rs, &r.rec, f, from); err != nil {
 			return err
 		}
-		if inBurst++; inBurst == r.s.burst {
+		if inBurst++; inBurst == burst {
 			return endBurst()
 		}
 		return nil
 	}
-	start := time.Now()
-	frames := 0
 	for u := 0; u < r.s.users; u++ {
 		for _, c := range r.in.camps[:camps] {
 			pl := c.planOf(round)
@@ -607,7 +661,6 @@ func (r *run) cycle(cl *wire.Client, round uint64, pace *pacer, camps int) error
 			if err := send(c.frames[pl.adSet][u]); err != nil {
 				return err
 			}
-			frames++
 		}
 	}
 	for _, c := range r.in.camps[:camps] {
@@ -615,7 +668,6 @@ func (r *run) cycle(cl *wire.Client, round uint64, pace *pacer, camps int) error
 			if err := send(f); err != nil {
 				return err
 			}
-			frames++
 		}
 	}
 	if inBurst > 0 {
@@ -625,10 +677,6 @@ func (r *run) cycle(cl *wire.Client, round uint64, pace *pacer, camps int) error
 	}
 	if err := r.flush(rs, true); err != nil {
 		return err
-	}
-	if r.measuring {
-		r.rec.ingest += time.Since(start)
-		r.rec.accepted += frames
 	}
 	// The closes and checks hold the frame schedule: rounds are closed
 	// between bursts of reports, and the closes are timed on their own.
@@ -644,7 +692,9 @@ func (r *run) cycle(cl *wire.Client, round uint64, pace *pacer, camps int) error
 		}
 	}
 	if pace != nil {
-		pace.hold(time.Since(hold))
+		held := time.Since(hold)
+		pace.hold(held)
+		r.held += held
 	}
 	return nil
 }
@@ -657,7 +707,9 @@ func (r *run) auditLoop(cl *wire.Client, rec *recorder, stop *atomic.Bool) error
 		from := pace.wait(rec)
 		ci := rng.IntN(len(r.in.camps))
 		round := r.latestClosed[ci].Load()
-		err := r.audit(cl, rec, rng, r.in.camps[ci], round, from)
+		c := r.in.camps[ci]
+		ads := c.planOf(round).ads
+		err := r.audit(cl, rec, c, round, ads[rng.IntN(len(ads))], from)
 		pace.done()
 		if err != nil {
 			return err
