@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	mrand "math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -67,8 +68,9 @@ func measure(fn func(b *testing.B)) pipelineResult {
 // runPipeline benchmarks every stage of the privacy hot path — sketch
 // update/query, report (de)serialization, report ingestion over loopback
 // TCP (JSON vs streamed), same-round merge contention (locked vs
-// striped), blinding-vector computation, aggregate merge, and the
-// back-end close-round enumeration — and writes the results to outPath.
+// striped), blinding-vector computation, aggregate merge, the
+// back-end close-round enumeration, and the #Users walk alone on sparse
+// and dense aggregates — and writes the results to outPath.
 // With checkPct/checkNsPct > 0 it then gates against the baseline (the
 // CI regression gate).
 func runPipeline(outPath, baselinePath string, checkPct, checkNsPct float64) error {
@@ -294,6 +296,11 @@ func runPipeline(outPath, baselinePath string, checkPct, checkNsPct float64) err
 		}
 	})
 
+	fmt.Fprintln(os.Stderr, "pipeline: #Users walk, sparse (2^20 IDs, 12 reporters) vs dense (20k IDs, 128 reporters) ...")
+	if err := benchUserCounts(rep); err != nil {
+		return err
+	}
+
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -349,6 +356,45 @@ func runPipeline(outPath, baselinePath string, checkPct, checkNsPct float64) err
 	}
 	if checkPct > 0 || checkNsPct > 0 {
 		return checkRegressions(rep, checkPct, checkNsPct)
+	}
+	return nil
+}
+
+// benchUserCounts isolates the close-round #Users walk
+// (privacy.UserCounts) over an unblinded paper-geometry aggregate of
+// reporters × 50 uniformly drawn ad IDs, at the two shapes whose costs
+// differ. user_counts_sparse is close_churn's: a 2^20 ID space over 12
+// reporters' ads, so most cells are zero and most IDs end at row 0.
+// user_counts_dense is ingest_paper's: 20k IDs over 128 reporters, so
+// almost every cell is set, about half the IDs have a nonzero estimate,
+// and the count-map inserts cost more than the sketch reads.
+func benchUserCounts(rep *pipelineReport) error {
+	for _, row := range []struct {
+		name      string
+		idSpace   uint64
+		reporters int
+	}{
+		{"user_counts_sparse", 1 << 20, 12},
+		{"user_counts_dense", 20000, 128},
+	} {
+		params := privacy.Params{Epsilon: 0.001, Delta: 0.001, IDSpace: row.idSpace}
+		agg, err := params.NewSketch()
+		if err != nil {
+			return err
+		}
+		rng := mrand.New(mrand.NewSource(int64(row.reporters)))
+		var k [8]byte
+		for i := 0; i < row.reporters*50; i++ {
+			binary.LittleEndian.PutUint64(k[:], uint64(rng.Int63n(int64(row.idSpace))))
+			agg.Update(k[:])
+		}
+		rep.Benchmarks[row.name] = measure(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if len(privacy.UserCounts(agg, params)) == 0 {
+					b.Fatal("walk recovered no counts")
+				}
+			}
+		})
 	}
 	return nil
 }

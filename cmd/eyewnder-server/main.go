@@ -66,7 +66,7 @@ func main() {
 		replChunk   = flag.Int("repl-chunk", repl.DefaultChunk, "replication fetch chunk size in bytes with -follow")
 		replRetain  = flag.Int("repl-retain", 2, "sealed WAL segments kept across snapshot pruning with -repl, so a briefly-lagging follower avoids a full snapshot resync")
 		adminAddr   = flag.String("admin", "", "admin HTTP listen address serving /metrics (Prometheus text), /metrics.json, /statusz, /healthz, and /debug/pprof (empty = off)")
-		campaigns   = flag.String("campaigns", "", "counting campaigns to provision at startup, as semicolon-separated specs: \"id=1,name=autos,eps=0.02,delta=0.01,idspace=4096,keystream=aes-ctr,retain=4,cadence=600;id=2,...\" — zero fields inherit the deployment base; re-provisioning an existing ID is last-write-wins and applies to future rounds only")
+		campaigns   = flag.String("campaigns", "", "counting campaigns to provision at startup, as semicolon-separated specs: \"id=1,name=autos,eps=0.02,delta=0.01,ids=4096,ks=aes-ctr,retain=4,cadence=600;id=2,...\" — zero fields inherit the deployment base; re-provisioning an existing ID is last-write-wins and applies to future rounds only")
 		replStatus  = flag.Duration("repl-status-every", 30*time.Second, "interval between follower replication status log lines with -follow (0 disables; the same state is always live on -admin's /statusz)")
 	)
 	flag.Parse()

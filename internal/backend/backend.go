@@ -246,6 +246,9 @@ func New(cfg Config) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := privacy.CheckIDSpace(cfg.Params.IDSpace); err != nil {
+		return nil, err
+	}
 	st := cfg.Store
 	if st == nil {
 		st = store.Null{}
@@ -551,9 +554,15 @@ func (b *Backend) captureRoundStates() ([]*store.RoundState, error) {
 		r.mu.Lock()
 		d, w, seed, n, ks, cells, reported := r.agg.SnapshotState()
 		rcfg := r.agg.Config()
+		// The map is copied, its share vectors are not: an accepted share
+		// is a private copy that is only ever replaced, never written in
+		// place, so the capture can read it after r.mu is released.
+		// Copying them too would double a snapshot's transient heap (a
+		// paper-geometry share is 152 KB, a round in adjustment holds one
+		// per reporter).
 		adjusts := make(map[int][]uint64, len(r.adjusts))
 		for u, s := range r.adjusts {
-			adjusts[u] = append([]uint64(nil), s...)
+			adjusts[u] = s
 		}
 		closed := r.closed
 		r.mu.Unlock()

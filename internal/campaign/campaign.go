@@ -28,7 +28,9 @@ import (
 // Errors of the campaign registry.
 var (
 	// ErrBadCampaign marks a definition that fails validation (reserved
-	// ID, bad geometry, unknown suite, oversized name).
+	// ID, bad geometry, an ad-ID space above privacy.MaxIDSpace, unknown
+	// suite, oversized name). The ID-space error also wraps a
+	// *privacy.IDSpaceError.
 	ErrBadCampaign = errors.New("campaign: invalid definition")
 	// ErrDuplicate marks provisioning an ID the directory already holds.
 	ErrDuplicate = errors.New("campaign: duplicate id")
@@ -91,6 +93,9 @@ func (c Campaign) Validate() error {
 	}
 	if !(c.Epsilon >= 0 && c.Epsilon < 1) || !(c.Delta >= 0 && c.Delta < 1) {
 		return fmt.Errorf("%w: epsilon=%g delta=%g", ErrBadCampaign, c.Epsilon, c.Delta)
+	}
+	if err := privacy.CheckIDSpace(c.IDSpace); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadCampaign, err)
 	}
 	if c.KeystreamSet && !c.Keystream.Valid() {
 		return fmt.Errorf("%w: keystream 0x%02x", ErrBadCampaign, byte(c.Keystream))
@@ -274,7 +279,7 @@ func ParseSpec(spec string) ([]Campaign, error) {
 			}
 		}
 		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("%v (entry %q)", err, entry)
+			return nil, fmt.Errorf("%w (entry %q)", err, entry)
 		}
 		if seen[c.ID] {
 			return nil, fmt.Errorf("%w: %d (entry %q)", ErrDuplicate, c.ID, entry)

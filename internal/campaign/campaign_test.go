@@ -25,11 +25,31 @@ func TestValidate(t *testing.T) {
 		{"negative delta", Campaign{ID: 1, Name: "x", Delta: -0.1}, false},
 		{"bad keystream", Campaign{ID: 1, Name: "x", Keystream: 0x7f, KeystreamSet: true}, false},
 		{"negative retain", Campaign{ID: 1, Name: "x", RetainRounds: -1}, false},
+		{"id space at cap", Campaign{ID: 1, Name: "x", IDSpace: privacy.MaxIDSpace}, true},
+		{"id space above cap", Campaign{ID: 1, Name: "x", IDSpace: privacy.MaxIDSpace + 1}, false},
+		{"id space wraps int", Campaign{ID: 1, Name: "x", IDSpace: 1 << 63}, false},
 	}
 	for _, tc := range cases {
 		err := tc.c.Validate()
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// An oversized ad-ID space is refused by every path that admits a
+// definition — Validate, the binary decoder behind the WAL and the
+// directory frame, and the -campaigns spec parser — with an error that
+// is both ErrBadCampaign and a *privacy.IDSpaceError.
+func TestOversizedIDSpaceIsTyped(t *testing.T) {
+	const n = 1 << 40
+	c := Campaign{ID: 4, Name: "huge", IDSpace: n}
+	_, _, decErr := DecodeBinary(c.AppendBinary(nil))
+	_, specErr := ParseSpec("id=4,name=huge,ids=1099511627776")
+	for name, err := range map[string]error{"Validate": c.Validate(), "DecodeBinary": decErr, "ParseSpec": specErr} {
+		var ide *privacy.IDSpaceError
+		if !errors.Is(err, ErrBadCampaign) || !errors.As(err, &ide) || ide.IDSpace != n {
+			t.Errorf("%s: err = %v, want ErrBadCampaign wrapping *privacy.IDSpaceError{%d}", name, err, uint64(n))
 		}
 	}
 }

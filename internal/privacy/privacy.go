@@ -69,6 +69,29 @@ type Params struct {
 	Keystream blind.Keystream
 }
 
+// MaxIDSpace caps Params.IDSpace. Closing a round walks the whole ad-ID
+// space under the round's write lock, so the cap bounds that walk: 2^32
+// IDs is already about a minute of CPU, far past any deployment's ad
+// set (the paper's is 10^5).
+const MaxIDSpace = 1 << 32
+
+// IDSpaceError rejects an ad-ID space above MaxIDSpace.
+type IDSpaceError struct {
+	IDSpace uint64
+}
+
+func (e *IDSpaceError) Error() string {
+	return fmt.Sprintf("privacy: ad-ID space %d exceeds the cap of %d", e.IDSpace, uint64(MaxIDSpace))
+}
+
+// CheckIDSpace returns an *IDSpaceError when n exceeds MaxIDSpace.
+func CheckIDSpace(n uint64) error {
+	if n > MaxIDSpace {
+		return &IDSpaceError{IDSpace: n}
+	}
+	return nil
+}
+
 // DefaultParams mirrors the paper's configuration: ε = δ = 0.001 and a
 // 100k ad-ID space, P-256 blinding keys.
 func DefaultParams() Params {
@@ -132,13 +155,6 @@ func (p Params) AdID(oprfOutput []byte) uint64 {
 		panic("privacy: OPRF output too short")
 	}
 	return binary.LittleEndian.Uint64(oprfOutput[:8]) % p.IDSpace
-}
-
-// idBytes is the canonical CMS key encoding of an ad ID.
-func idBytes(id uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], id)
-	return b[:]
 }
 
 // Evaluator is the client's view of the oprf-server: it answers blinded
@@ -613,20 +629,28 @@ func (a *Aggregator) FinalizeWithAdjustments(adjustments ...[]uint64) (*sketch.C
 // estimate. This is the enumeration step that the OPRF makes possible:
 // the server can walk the whole ID space without learning any URL.
 //
-// The walk is the dominant cost of closing a round (IDSpace × d hashed
-// queries), so the ID space is sharded across CPU cores; each worker
-// queries its range allocation-free into a private map that is then folded
-// into the result.
+// The walk is the dominant cost of closing a round. It costs IDSpace ×
+// (one hash of the 8-byte ID + the cells read up to the first zero):
+// sketch.CMS.QueryID hashes the uint64 directly and stops at a zero
+// cell, so on a sparse aggregate — most IDs never reported — most IDs
+// cost one hash and one cell read, and only reported IDs (and their
+// collisions) read all d rows. The ID space is sharded across CPU cores
+// with at least 4096 IDs per worker; each worker queries its range
+// allocation-free into a private map that is then folded into the
+// result. IDSpace is capped at MaxIDSpace (CheckIDSpace); a larger one
+// is a provisioning bug that every entry point rejects, and UserCounts
+// panics rather than walk a wrapped or runaway range.
 func UserCounts(agg *sketch.CMS, params Params) map[uint64]uint64 {
+	if err := CheckIDSpace(params.IDSpace); err != nil {
+		panic(err)
+	}
 	out := make(map[uint64]uint64)
 	var mu sync.Mutex
 	vec.Parallel(int(params.IDSpace), 4096, func(lo, hi int) {
 		local := make(map[uint64]uint64)
-		var key [8]byte
-		for id := lo; id < hi; id++ {
-			binary.LittleEndian.PutUint64(key[:], uint64(id))
-			if v := agg.Query(key[:]); v > 0 {
-				local[uint64(id)] = v
+		for id := uint64(lo); id < uint64(hi); id++ {
+			if v := agg.QueryID(id); v > 0 {
+				local[id] = v
 			}
 		}
 		if len(local) == 0 {
@@ -641,9 +665,9 @@ func UserCounts(agg *sketch.CMS, params Params) map[uint64]uint64 {
 	return out
 }
 
-// QueryUsers estimates #Users for one ad ID.
+// QueryUsers estimates #Users for one ad ID. It is allocation-free.
 func QueryUsers(agg *sketch.CMS, id uint64) uint64 {
-	return agg.Query(idBytes(id))
+	return agg.QueryID(id)
 }
 
 // CleartextReportBytes estimates the cleartext alternative the paper

@@ -3,13 +3,18 @@ package privacy
 import (
 	"crypto/rand"
 	"crypto/rsa"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	mrand "math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"eyewnder/internal/blind"
 	"eyewnder/internal/group"
 	"eyewnder/internal/oprf"
+	"eyewnder/internal/sketch"
 )
 
 // Shared fixtures: RSA keygen and roster setup dominate test time.
@@ -410,6 +415,91 @@ func TestUserCountsEnumeration(t *testing.T) {
 	if found != 2 {
 		t.Fatalf("enumeration found %d/2 ads; counts=%v", found, counts)
 	}
+}
+
+// naiveUserCounts is the reference #Users walk: every ID through the
+// generic byte-key Query, no sharding, no early exit.
+func naiveUserCounts(agg *sketch.CMS, idSpace uint64) map[uint64]uint64 {
+	out := make(map[uint64]uint64)
+	var key [8]byte
+	for id := uint64(0); id < idSpace; id++ {
+		binary.LittleEndian.PutUint64(key[:], id)
+		if v := agg.Query(key[:]); v > 0 {
+			out[id] = v
+		}
+	}
+	return out
+}
+
+// UserCounts must equal the naive walk exactly, on sparse and dense
+// aggregates and on ID spaces that do and do not split evenly across
+// workers. The benchmark's oracle itself calls UserCounts, so this is
+// the check that keeps the fast walk honest.
+func TestUserCountsMatchesNaiveQuery(t *testing.T) {
+	r := mrand.New(mrand.NewSource(5))
+	for _, tc := range []struct {
+		eps, delta float64
+		idSpace    uint64
+		keys       int
+	}{
+		{0.001, 0.001, 20000, 600}, // paper geometry, sparse
+		{0.001, 0.001, 1<<16 + 3, 6400},
+		{0.01, 0.01, 20000, 6400}, // narrow sketch: nearly every cell set
+		{0.05, 0.05, 4097, 50},
+		{0.05, 0.05, 1, 3},
+		{0.05, 0.05, 0, 3},
+	} {
+		agg, err := sketch.New(tc.eps, tc.delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var key [8]byte
+		for i := 0; i < tc.keys; i++ {
+			binary.LittleEndian.PutUint64(key[:], uint64(r.Int63n(int64(tc.idSpace)+1)))
+			agg.Update(key[:])
+		}
+		params := Params{Epsilon: tc.eps, Delta: tc.delta, IDSpace: tc.idSpace}
+		got, want := UserCounts(agg, params), naiveUserCounts(agg, tc.idSpace)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ε=%g IDSpace=%d: UserCounts has %d IDs, naive walk %d", tc.eps, tc.idSpace, len(got), len(want))
+		}
+		for id, v := range want {
+			if q := QueryUsers(agg, id); q != v {
+				t.Fatalf("QueryUsers(%d) = %d, naive %d", id, q, v)
+			}
+		}
+	}
+}
+
+func TestQueryUsersZeroAllocs(t *testing.T) {
+	agg, err := DefaultParams().NewSketch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg.Update([]byte{7, 0, 0, 0, 0, 0, 0, 0})
+	if allocs := testing.AllocsPerRun(1000, func() { QueryUsers(agg, 7) }); allocs != 0 {
+		t.Fatalf("QueryUsers allocates %v times per call, want 0", allocs)
+	}
+}
+
+func TestCheckIDSpace(t *testing.T) {
+	if err := CheckIDSpace(MaxIDSpace); err != nil {
+		t.Fatalf("CheckIDSpace(MaxIDSpace) = %v", err)
+	}
+	err := CheckIDSpace(MaxIDSpace + 1)
+	var ide *IDSpaceError
+	if !errors.As(err, &ide) || ide.IDSpace != MaxIDSpace+1 {
+		t.Fatalf("CheckIDSpace(MaxIDSpace+1) = %v, want *IDSpaceError", err)
+	}
+	// UserCounts never walks an unchecked space: before the cap, 2^63
+	// wrapped int(IDSpace) negative and returned an empty map.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("UserCounts over a 2^63 ID space did not panic")
+		}
+	}()
+	agg, _ := sketch.NewWithDimensions(1, 1)
+	UserCounts(agg, Params{IDSpace: 1 << 63})
 }
 
 func TestOverheadAccounting(t *testing.T) {

@@ -31,6 +31,17 @@ func TestQueryZeroAllocs(t *testing.T) {
 	}
 }
 
+func TestQueryIDZeroAllocs(t *testing.T) {
+	c, err := New(0.001, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Update([]byte{42, 0, 0, 0, 0, 0, 0, 0})
+	if allocs := testing.AllocsPerRun(1000, func() { c.QueryID(42) }); allocs != 0 {
+		t.Fatalf("QueryID allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestConservativeUpdateZeroAllocs(t *testing.T) {
 	c, err := New(0.01, 0.01)
 	if err != nil {

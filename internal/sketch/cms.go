@@ -34,6 +34,13 @@
 // key. Because the hash defines the cell layout, every protocol
 // participant must run the same hash version — a client sketching with a
 // different layout would corrupt the blinded aggregate (see hash128).
+//
+// Ad IDs are keyed by their 8-byte little-endian encoding. QueryID takes
+// the uint64 itself and hashes it through a shared 8-byte path (hashID):
+// the same init, round, and finalize helpers the generic byte loop uses,
+// applied to one full word and an empty tail, so it reads exactly the
+// cells Query reads for that encoding, without the loop. Golden vectors
+// pin both paths' output.
 package sketch
 
 import (
@@ -138,12 +145,15 @@ func (c *CMS) EpsilonDelta() (epsilon, delta float64) {
 func (c *CMS) indexSeed(x []byte) (idx, step, width uint64) {
 	h1, h2 := hash128(x, c.seed)
 	width = uint64(c.w)
-	idx = h1 % width
-	step = h2 % width
-	if step == 0 {
-		step = 1 // keep rows from collapsing onto one column
+	return h1 % width, stride(h2, width), width
+}
+
+// stride reduces a key's second hash to its per-row column step.
+func stride(h2, width uint64) uint64 {
+	if step := h2 % width; step != 0 {
+		return step
 	}
-	return idx, step, width
+	return 1 // keep rows from collapsing onto one column
 }
 
 // Indexes computes the d column indices of x — one per row — hashing the
@@ -229,18 +239,39 @@ func (c *CMS) ConservativeUpdate(x []byte, w uint64) {
 
 // Query returns the estimated frequency of x: min over rows. The key is
 // hashed once; the query is allocation-free.
-func (c *CMS) Query(x []byte) uint64 {
-	idx, step, width := c.indexSeed(x)
-	min := uint64(math.MaxUint64)
-	row := 0
-	for j := 0; j < c.d; j++ {
-		if v := c.cells[row+int(idx)]; v < min {
-			min = v
-		}
-		row += c.w
+func (c *CMS) Query(x []byte) uint64 { return c.minCell(hash128(x, c.seed)) }
+
+// QueryID returns exactly Query of the 8-byte little-endian encoding of
+// id — the canonical key of an ad ID — but hashes the uint64 directly
+// (hashID) instead of running the generic byte loop. It is the
+// per-ID step of the close-round #Users walk over the whole ID space,
+// and allocation-free.
+func (c *CMS) QueryID(id uint64) uint64 { return c.minCell(hashID(id, c.seed)) }
+
+// minCell returns the minimum of the d cells of the key hashing to
+// (h1, h2). It stops at the first zero cell: no uint64 cell is smaller,
+// so the result is exact. On a sparse sketch — the unblinded aggregate
+// over a large ID space, where most IDs were never reported — most
+// queries end at row 0, before the stride's division is even paid.
+func (c *CMS) minCell(h1, h2 uint64) uint64 {
+	width := uint64(c.w)
+	idx := h1 % width
+	min := c.cells[idx]
+	if min == 0 {
+		return 0
+	}
+	step := stride(h2, width)
+	for row := c.w; row < len(c.cells); row += c.w {
 		idx += step
 		if idx >= width {
 			idx -= width
+		}
+		v := c.cells[row+int(idx)]
+		if v == 0 {
+			return 0
+		}
+		if v < min {
+			min = v
 		}
 	}
 	return min

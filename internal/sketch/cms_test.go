@@ -458,6 +458,15 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
+func BenchmarkQueryID(b *testing.B) {
+	c, _ := New(0.001, 0.001)
+	c.Update([]byte{42, 0, 0, 0, 0, 0, 0, 0})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.QueryID(42)
+	}
+}
+
 func BenchmarkMerge(b *testing.B) {
 	x, _ := New(0.001, 0.001)
 	y, _ := New(0.001, 0.001)
