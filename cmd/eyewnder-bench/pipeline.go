@@ -296,7 +296,7 @@ func runPipeline(outPath, baselinePath string, checkPct, checkNsPct float64) err
 		}
 	})
 
-	fmt.Fprintln(os.Stderr, "pipeline: #Users walk, sparse (2^20 IDs, 12 reporters) vs dense (20k IDs, 128 reporters) ...")
+	fmt.Fprintln(os.Stderr, "pipeline: indexed #Users count, sparse (2^20 IDs, 12 reporters) vs dense (20k IDs, 128 reporters), and the index build ...")
 	if err := benchUserCounts(rep); err != nil {
 		return err
 	}
@@ -360,14 +360,17 @@ func runPipeline(outPath, baselinePath string, checkPct, checkNsPct float64) err
 	return nil
 }
 
-// benchUserCounts isolates the close-round #Users walk
-// (privacy.UserCounts) over an unblinded paper-geometry aggregate of
-// reporters × 50 uniformly drawn ad IDs, at the two shapes whose costs
-// differ. user_counts_sparse is close_churn's: a 2^20 ID space over 12
-// reporters' ads, so most cells are zero and most IDs end at row 0.
+// benchUserCounts isolates the close-round #Users count the server runs
+// — an ad-ID index's NonZero over an unblinded paper-geometry aggregate
+// of reporters × 50 uniformly drawn ad IDs — at the two shapes whose
+// costs differ, plus the once-per-layout index build. user_counts_sparse
+// is close_churn's: a 2^20 ID space over 12 reporters' ads, so most
+// row-0 cells are zero and their buckets are skipped whole.
 // user_counts_dense is ingest_paper's: 20k IDs over 128 reporters, so
 // almost every cell is set, about half the IDs have a nonzero estimate,
 // and the count-map inserts cost more than the sketch reads.
+// id_index_build is the sparse shape's index build (2^20 IDs at the
+// paper's width), paid by the first close of a layout.
 func benchUserCounts(rep *pipelineReport) error {
 	for _, row := range []struct {
 		name      string
@@ -388,13 +391,27 @@ func benchUserCounts(rep *pipelineReport) error {
 			binary.LittleEndian.PutUint64(k[:], uint64(rng.Int63n(int64(row.idSpace))))
 			agg.Update(k[:])
 		}
+		idx, err := sketch.NewIDIndex(agg.Width(), agg.Seed(), row.idSpace)
+		if err != nil {
+			return err
+		}
 		rep.Benchmarks[row.name] = measure(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if len(privacy.UserCounts(agg, params)) == 0 {
-					b.Fatal("walk recovered no counts")
+				counts, err := idx.NonZero(agg)
+				if err != nil || len(counts) == 0 {
+					b.Fatal("count recovered no counts: ", err)
 				}
 			}
 		})
+		if row.name == "user_counts_sparse" {
+			rep.Benchmarks["id_index_build"] = measure(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := sketch.NewIDIndex(agg.Width(), agg.Seed(), row.idSpace); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 	return nil
 }

@@ -218,8 +218,11 @@ type statusz struct {
 	RosterVersion uint32                  `json:"roster_version"`
 	Campaigns     []campaignStatusz       `json:"campaigns,omitempty"`
 	Rounds        []backend.RoundSnapshot `json:"rounds"`
-	Store         *storeStatusz           `json:"store,omitempty"`
-	Repl          *replStatusz            `json:"repl,omitempty"`
+	// IDIndex is the close-time ad-ID index cache: its retained memory
+	// is part of the process's steady heap (6 B per ID per layout).
+	IDIndex backend.IDIndexStats `json:"id_index"`
+	Store   *storeStatusz        `json:"store,omitempty"`
+	Repl    *replStatusz         `json:"repl,omitempty"`
 }
 
 // campaignStatusz is one provisioned campaign as /statusz renders it:
@@ -289,6 +292,7 @@ func primaryStatusz(be *backend.Backend, disk *store.Disk, mode store.SyncMode) 
 		RosterVersion: cfg.RosterVersion,
 		Campaigns:     campaignStatuszOf(be, rounds),
 		Rounds:        rounds,
+		IDIndex:       be.IDIndexStats(),
 	}
 	if disk != nil {
 		st.Store = &storeStatusz{Generation: disk.Generation(), Fsync: mode.String()}
@@ -518,6 +522,7 @@ func (n *node) statusz(f *repl.Follower, mode store.SyncMode) statusz {
 		RosterVersion: cfg.RosterVersion,
 		Campaigns:     campaignStatuszOf(b, rounds),
 		Rounds:        rounds,
+		IDIndex:       b.IDIndexStats(),
 	}
 	n.mu.Lock()
 	promoted, disk := n.promoted != nil, n.disk

@@ -137,6 +137,10 @@ type Backend struct {
 	cfg   Config
 	cells int             // sketch cell count implied by Params, for share validation
 	m     *backendMetrics // pre-registered instrument handles, always non-nil
+	// indexes caches one ad-ID index per sketch layout, within a byte
+	// budget, for the close-time count (finalizeLocked); it has its own
+	// lock.
+	indexes *idIndexes
 
 	// store is the durability sink (store.Null when Config.Store is
 	// nil); durable is false for the null store, gating the snapshot
@@ -249,6 +253,9 @@ func New(cfg Config) (*Backend, error) {
 	if err := privacy.CheckIDSpace(cfg.Params.IDSpace); err != nil {
 		return nil, err
 	}
+	if err := privacy.CheckGeometry(cfg.Params.Epsilon, cfg.Params.Delta); err != nil {
+		return nil, err
+	}
 	st := cfg.Store
 	if st == nil {
 		st = store.Null{}
@@ -268,6 +275,7 @@ func New(cfg Config) (*Backend, error) {
 		retiredBelow: make(map[uint32]uint64),
 	}
 	b.m = newBackendMetrics(cfg.Metrics)
+	b.indexes = newIDIndexes(b.m.indexBuilds, indexBudget)
 	if err := b.restore(); err != nil {
 		return nil, err
 	}
@@ -304,6 +312,9 @@ func New(cfg Config) (*Backend, error) {
 				defer b.mu.Unlock()
 				return float64(len(b.campaigns))
 			})
+		cfg.Metrics.GaugeFunc("eyewnder_id_index_bytes",
+			"Memory retained by the per-layout ad-ID indexes the round close counts through.",
+			func() float64 { return float64(b.indexes.bytes.Load()) })
 		cfg.Metrics.GaugeFunc("eyewnder_replica",
 			"1 when this back-end is a read-only hot-standby replica.",
 			func() float64 {
@@ -433,6 +444,9 @@ func (b *Backend) newCampaignState(c campaign.Campaign) (*campaignState, error) 
 		return nil, err
 	}
 	params := c.Params(b.cfg.Params)
+	if err := privacy.CheckGeometry(params.Epsilon, params.Delta); err != nil {
+		return nil, fmt.Errorf("%w: %w", campaign.ErrBadCampaign, err)
+	}
 	d, w, err := sketch.Dimensions(params.Epsilon, params.Delta)
 	if err != nil {
 		return nil, err
@@ -737,15 +751,6 @@ func (b *Backend) Roster() (keys [][]byte, configVersion, rosterVersion uint32) 
 	return out, b.configVersion, b.rosterVersion
 }
 
-// getRound returns (creating on first touch) the round's state. Only the
-// map access happens under the global lock; callers lock the returned
-// round for any state access. Round creation is logged before the round
-// becomes visible, so the WAL always carries a round's open record
-// ahead of its reports; the record is not fsynced here — every
-// acknowledgement barrier that matters (report ack, adjustment upload,
-// close) group-commits everything appended before it, open record
-// included, and an open that was never followed by an acked event is
-// trivially recreated on demand after a crash.
 // AddCampaign provisions (or re-provisions) a counting campaign: the
 // definition is validated, resolved against the deployment's base
 // params, logged durably, and published to the wire directory. Last
@@ -787,7 +792,18 @@ func (b *Backend) Campaigns() []campaign.Campaign {
 	return out
 }
 
-func (b *Backend) getRound(c uint32, id uint64) (*round, error) {
+// getRound returns (creating on first touch) the round's state. Only the
+// map access happens under the global lock; callers lock the returned
+// round for any state access. Round creation is logged before the round
+// becomes visible, so the WAL always carries a round's open record
+// ahead of its reports; the record is not fsynced here — every
+// acknowledgement barrier that matters (report ack, adjustment upload,
+// close) group-commits everything appended before it, open record
+// included, and an open that was never followed by an acked event is
+// trivially recreated on demand after a crash.
+// cells is the report's cell count, which must match the campaign's
+// geometry for the report to open the round.
+func (b *Backend) getRound(c uint32, id uint64, cells int) (*round, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	r, ok := b.rounds[roundKey{c, id}]
@@ -806,13 +822,19 @@ func (b *Backend) getRound(c uint32, id uint64) (*round, error) {
 			// second, different threshold for the same round ID.
 			return nil, ErrUnknownRound
 		}
-		params := b.cfg.Params
+		params, want := b.cfg.Params, b.cells
 		if c != 0 {
 			cs, ok := b.campaigns[c]
 			if !ok {
 				return nil, ErrUnknownCampaign
 			}
-			params = cs.params
+			params, want = cs.params, cs.cells
+		}
+		// A report that can never fold must not open a round: the open
+		// allocates the campaign's full aggregate and journals itself.
+		// An open round's Reserve refuses the mismatch on its own.
+		if cells != want {
+			return nil, fmt.Errorf("%w: report has %d cells, want %d", sketch.ErrDimensionMismatch, cells, want)
 		}
 		// The round pins the config current at its open: later version
 		// bumps (roster changes, campaign re-provisioning) open *future*
@@ -890,7 +912,7 @@ func (b *Backend) submitReport(rep *privacy.Report) error {
 	if b.cfg.Replica {
 		return ErrReadOnlyReplica
 	}
-	r, err := b.getRound(rep.Campaign, rep.Round)
+	r, err := b.getRound(rep.Campaign, rep.Round, rep.Sketch.Cells())
 	if err != nil {
 		return err
 	}
@@ -966,7 +988,7 @@ func (b *Backend) consumeReport(f *wire.ReportFrame) error {
 	if b.cfg.Replica {
 		return ErrReadOnlyReplica
 	}
-	r, err := b.getRound(f.Campaign, f.Round)
+	r, err := b.getRound(f.Campaign, f.Round, len(f.Cells))
 	if err != nil {
 		return err
 	}
@@ -1490,10 +1512,20 @@ func (b *Backend) finalizeLocked(r *round) error {
 	if err != nil {
 		return err
 	}
-	r.final = final
 	// The round's pinned params — not the deployment defaults — scope
-	// the count extraction: each campaign queries its own ID space.
-	r.counts = privacy.UserCounts(final, r.agg.Config().Params)
+	// the count extraction: each campaign queries its own ID space. The
+	// count runs through the layout's ad-ID index, so it visits only the
+	// IDs under nonzero row-0 cells; the result is exactly
+	// privacy.UserCounts.
+	idx, err := b.indexes.get(final.Width(), final.Seed(), r.agg.Config().Params.IDSpace)
+	if err != nil {
+		return err
+	}
+	counts, err := idx.NonZero(final)
+	if err != nil {
+		return err
+	}
+	r.final, r.counts = final, counts
 	sample := make([]float64, 0, len(r.counts))
 	for _, c := range r.counts {
 		sample = append(sample, float64(c))

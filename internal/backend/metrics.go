@@ -42,6 +42,8 @@ type backendMetrics struct {
 	roundsAdjusted *obs.Counter
 	roundsClosed   *obs.Counter
 
+	indexBuilds *obs.Counter
+
 	adjShares *obs.Counter
 
 	adjReplica     *obs.Counter
@@ -92,6 +94,9 @@ func newBackendMetrics(reg *obs.Registry) *backendMetrics {
 			"Rounds that entered the adjustment round (first share stored)."),
 		roundsClosed: reg.Counter("eyewnder_rounds_closed_total",
 			"Rounds closed (final sketch unblinded, Users_th published)."),
+
+		indexBuilds: reg.Counter("eyewnder_id_index_builds_total",
+			"Per-layout ad-ID indexes built for the round close's count."),
 
 		adjShares: reg.Counter("eyewnder_adjust_shares_total",
 			"Second-round adjustment shares accepted and stored."),

@@ -30,7 +30,8 @@ var (
 	// ErrBadCampaign marks a definition that fails validation (reserved
 	// ID, bad geometry, an ad-ID space above privacy.MaxIDSpace, unknown
 	// suite, oversized name). The ID-space error also wraps a
-	// *privacy.IDSpaceError.
+	// *privacy.IDSpaceError, a geometry over the caps a
+	// *privacy.GeometryError.
 	ErrBadCampaign = errors.New("campaign: invalid definition")
 	// ErrDuplicate marks provisioning an ID the directory already holds.
 	ErrDuplicate = errors.New("campaign: duplicate id")
@@ -96,6 +97,14 @@ func (c Campaign) Validate() error {
 	}
 	if err := privacy.CheckIDSpace(c.IDSpace); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadCampaign, err)
+	}
+	// A geometry both overrides fix is checked here; one that inherits
+	// ε or δ is checked once resolved against the deployment's base, when
+	// the back-end provisions it.
+	if c.Epsilon > 0 && c.Delta > 0 {
+		if err := privacy.CheckGeometry(c.Epsilon, c.Delta); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadCampaign, err)
+		}
 	}
 	if c.KeystreamSet && !c.Keystream.Valid() {
 		return fmt.Errorf("%w: keystream 0x%02x", ErrBadCampaign, byte(c.Keystream))

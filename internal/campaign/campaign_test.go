@@ -28,6 +28,9 @@ func TestValidate(t *testing.T) {
 		{"id space at cap", Campaign{ID: 1, Name: "x", IDSpace: privacy.MaxIDSpace}, true},
 		{"id space above cap", Campaign{ID: 1, Name: "x", IDSpace: privacy.MaxIDSpace + 1}, false},
 		{"id space wraps int", Campaign{ID: 1, Name: "x", IDSpace: 1 << 63}, false},
+		{"geometry over the caps", Campaign{ID: 1, Name: "x", Epsilon: 1e-6, Delta: 0.5}, false},
+		// One override alone is checked once resolved, by the back-end.
+		{"epsilon-only override", Campaign{ID: 1, Name: "x", Epsilon: 1e-6}, true},
 	}
 	for _, tc := range cases {
 		err := tc.c.Validate()

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"crypto/rand"
+	"crypto/rsa"
 	"fmt"
+	"math/big"
+	mrand "math/rand"
 	"time"
 
 	"eyewnder/internal/adsim"
@@ -24,9 +27,17 @@ type Fig2Week struct {
 	// ActualCounts and CMSCounts are the per-ad user counts.
 	ActualCounts, CMSCounts []float64
 	// ActualTh and CMSTh are the Mean-estimator thresholds (the figure's
-	// Act_Th / CMS_Th annotations). CMS_Th is expected to sit slightly
-	// above Act_Th because sketch and ID-space collisions only inflate.
+	// Act_Th / CMS_Th annotations). They are close but not ordered: the
+	// sketch only inflates a count, yet two ads sharing an ad ID merge
+	// into one count of their union, and IDs no user reported (phantoms)
+	// enter the distribution with low counts, so CMS_Th can fall below
+	// Act_Th.
 	ActualTh, CMSTh float64
+	// ReportedByID is, per ad ID, the number of users whose report
+	// carried it — the exact count the CMS estimates. CMSByID is the
+	// estimate of every ID with a nonzero one (the enumerated
+	// distribution CMSCounts is drawn from).
+	ReportedByID, CMSByID map[uint64]uint64
 	// ActualDensity and CMSDensity sample the KDE curves of the figure
 	// over DensityX.
 	DensityX                  []float64
@@ -41,6 +52,9 @@ type Fig2Config struct {
 	// experiment runs the real OPRF and real blinding for every user.
 	Params privacy.Params
 	// RSABits sizes the oprf key (the paper uses 1024-bit elements).
+	// The key and the blinding roster derive from Sim.Seed, as the
+	// traffic does, so a run's ad IDs — and with them every count — are
+	// reproducible.
 	RSABits int
 }
 
@@ -77,11 +91,16 @@ func Fig2(cfg Fig2Config) ([]Fig2Week, error) {
 	}
 	res := sim.Run()
 
-	osrv, err := oprf.NewServer(cfg.RSABits)
+	rng := mrand.New(mrand.NewSource(cfg.Sim.Seed))
+	key, err := seededRSAKey(rng, cfg.RSABits)
 	if err != nil {
 		return nil, err
 	}
-	roster, err := blind.NewRoster(cfg.Params.Suite, cfg.Sim.Users, rand.Reader)
+	osrv, err := oprf.NewServerFromKey(key)
+	if err != nil {
+		return nil, err
+	}
+	roster, err := blind.NewRoster(cfg.Params.Suite, cfg.Sim.Users, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -101,12 +120,19 @@ func Fig2(cfg Fig2Config) ([]Fig2Week, error) {
 		if err != nil {
 			return nil, err
 		}
+		reported := make(map[uint64]uint64)
 		for user := 0; user < cfg.Sim.Users; user++ {
+			ids := make(map[uint64]bool)
 			for _, ad := range counters.AdsSeenBy(user) {
 				url := sim.Campaign(ad).AdURL()
-				if _, err := clients[user].ObserveAd(url); err != nil {
+				id, err := clients[user].ObserveAd(url)
+				if err != nil {
 					return nil, err
 				}
+				ids[id] = true
+			}
+			for id := range ids {
+				reported[id]++
 			}
 			rep, err := clients[user].Report(uint64(w))
 			if err != nil {
@@ -132,6 +158,8 @@ func Fig2(cfg Fig2Config) ([]Fig2Week, error) {
 			CMSCounts:    cms,
 			ActualTh:     detector.UsersThreshold(actual, detector.EstimatorMean),
 			CMSTh:        detector.UsersThreshold(cms, detector.EstimatorMean),
+			ReportedByID: reported,
+			CMSByID:      counts,
 		}
 		// Density curves over the 2..10-users x-range of the figure.
 		if len(actual) > 0 && len(cms) > 0 {
@@ -156,6 +184,47 @@ func Fig2(cfg Fig2Config) ([]Fig2Week, error) {
 		weeks = append(weeks, week)
 	}
 	return weeks, nil
+}
+
+// seededRSAKey derives an RSA key of the given modulus size from rng
+// alone. rsa.GenerateKey deliberately varies its output even under a
+// fixed reader, so the primes are drawn here: two bits/2-bit probable
+// primes with their top two bits set (the modulus then has exactly
+// bits bits) and e = 65537 invertible modulo φ. Below 1024 bits it
+// returns oprf.ErrKeyTooSmall, as the oprf server would.
+func seededRSAKey(rng *mrand.Rand, bits int) (*rsa.PrivateKey, error) {
+	const e = 65537
+	if bits < 1024 {
+		return nil, oprf.ErrKeyTooSmall
+	}
+	prime := func() *big.Int {
+		limit := new(big.Int).Lsh(big.NewInt(1), uint(bits/2))
+		for {
+			p := new(big.Int).Rand(rng, limit)
+			p.SetBit(p, bits/2-1, 1)
+			p.SetBit(p, bits/2-2, 1)
+			p.SetBit(p, 0, 1)
+			if p.ProbablyPrime(20) && new(big.Int).Mod(p, big.NewInt(e)).Int64() != 1 {
+				return p
+			}
+		}
+	}
+	p, q := prime(), prime()
+	for p.Cmp(q) == 0 {
+		q = prime()
+	}
+	one := big.NewInt(1)
+	phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+	key := &rsa.PrivateKey{
+		PublicKey: rsa.PublicKey{N: new(big.Int).Mul(p, q), E: e},
+		D:         new(big.Int).ModInverse(big.NewInt(e), phi),
+		Primes:    []*big.Int{p, q},
+	}
+	if err := key.Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: seeded RSA key: %w", err)
+	}
+	key.Precompute()
+	return key, nil
 }
 
 // OverheadReport reproduces the Section 7.1 numbers.

@@ -69,11 +69,12 @@ type Params struct {
 	Keystream blind.Keystream
 }
 
-// MaxIDSpace caps Params.IDSpace. Closing a round walks the whole ad-ID
-// space under the round's write lock, so the cap bounds that walk: 2^32
-// IDs is already about a minute of CPU, far past any deployment's ad
-// set (the paper's is 10^5).
-const MaxIDSpace = 1 << 32
+// MaxIDSpace caps Params.IDSpace. Closing a round counts the ad IDs
+// with a nonzero estimate through a per-layout ad-ID index
+// (sketch.IDIndex) that holds every ID of the space at 6 bytes per ID,
+// so the cap bounds that memory: 2^24 IDs is a 96 MiB index, 160× the
+// paper's 10^5 IDs.
+const MaxIDSpace = 1 << 24
 
 // IDSpaceError rejects an ad-ID space above MaxIDSpace.
 type IDSpaceError struct {
@@ -88,6 +89,51 @@ func (e *IDSpaceError) Error() string {
 func CheckIDSpace(n uint64) error {
 	if n > MaxIDSpace {
 		return &IDSpaceError{IDSpace: n}
+	}
+	return nil
+}
+
+// MaxWidth caps the sketch width w = ⌈e/ε⌉ (so ε ≥ e/2^16 ≈ 4.2e-5):
+// the close-time ad-ID index stores columns as uint16.
+const MaxWidth = sketch.MaxIndexWidth
+
+// MaxReportFrame and ReportFrameHeader restate the wire layer's frame
+// cap (wire.MaxFrame) and streamed-report preamble; the wire package
+// imports this one, so a wire test pins the two pairs equal. A sketch
+// whose 8·d·w cell bytes plus the preamble exceed the cap can never
+// arrive in a report.
+const (
+	MaxReportFrame    = 16 << 20
+	ReportFrameHeader = 56
+)
+
+// GeometryError rejects an (ε, δ) whose sketch no report could carry or
+// the close-time index could not serve.
+type GeometryError struct {
+	Epsilon, Delta float64
+	D, W           int
+}
+
+func (e *GeometryError) Error() string {
+	return fmt.Sprintf("privacy: sketch geometry ε=%g δ=%g (d=%d, w=%d) exceeds the caps (w ≤ %d, %d-byte report frames)",
+		e.Epsilon, e.Delta, e.D, e.W, MaxWidth, MaxReportFrame)
+}
+
+// CheckGeometry returns an error unless (ε, δ) yields a sketch that a
+// report frame can carry (8·d·w + ReportFrameHeader ≤ MaxReportFrame)
+// and whose width is at most MaxWidth: a *GeometryError for a geometry
+// over the caps, sketch.ErrBadParams for ε or δ outside (0, 1). Every
+// entry point that provisions a geometry checks it before anything
+// sized by it is allocated.
+func CheckGeometry(epsilon, delta float64) error {
+	d, w, err := sketch.Dimensions(epsilon, delta)
+	if err != nil {
+		return err
+	}
+	// d < 1 or w < 1 is a float ⌈ln(1/δ)⌉ or ⌈e/ε⌉ that overflowed the
+	// int; past those, d ≤ 710 and w ≤ MaxWidth keep the product exact.
+	if d < 1 || w < 1 || w > MaxWidth || 8*uint64(d)*uint64(w) > MaxReportFrame-ReportFrameHeader {
+		return &GeometryError{Epsilon: epsilon, Delta: delta, D: d, W: w}
 	}
 	return nil
 }
@@ -629,17 +675,16 @@ func (a *Aggregator) FinalizeWithAdjustments(adjustments ...[]uint64) (*sketch.C
 // estimate. This is the enumeration step that the OPRF makes possible:
 // the server can walk the whole ID space without learning any URL.
 //
-// The walk is the dominant cost of closing a round. It costs IDSpace ×
-// (one hash of the 8-byte ID + the cells read up to the first zero):
-// sketch.CMS.QueryID hashes the uint64 directly and stops at a zero
-// cell, so on a sparse aggregate — most IDs never reported — most IDs
-// cost one hash and one cell read, and only reported IDs (and their
-// collisions) read all d rows. The ID space is sharded across CPU cores
-// with at least 4096 IDs per worker; each worker queries its range
-// allocation-free into a private map that is then folded into the
-// result. IDSpace is capped at MaxIDSpace (CheckIDSpace); a larger one
-// is a provisioning bug that every entry point rejects, and UserCounts
-// panics rather than walk a wrapped or runaway range.
+// UserCounts is the reference walk: it costs IDSpace × (one hash of the
+// 8-byte ID + the cells read up to the first zero), sharded across CPU
+// cores with at least 4096 IDs per worker. The server's close does not
+// run it: it counts through a sketch.IDIndex built once per layout
+// (IDIndex.NonZero), whose cost follows the nonzero row-0 cells rather
+// than the ID space, and whose result is exactly this map — the tests
+// and the benchmark oracles hold the two equal. IDSpace is capped at
+// MaxIDSpace (CheckIDSpace); a larger one is a provisioning bug that
+// every entry point rejects, and UserCounts panics rather than walk a
+// wrapped or runaway range.
 func UserCounts(agg *sketch.CMS, params Params) map[uint64]uint64 {
 	if err := CheckIDSpace(params.IDSpace); err != nil {
 		panic(err)

@@ -584,3 +584,22 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("tail = %v, want EOF", err)
 	}
 }
+
+// encodeSnapshot sizes its buffer exactly: one allocation holds the
+// whole snapshot. A short estimate made the final append copy the
+// snapshot — every round's cells and shares — into a buffer twice as
+// large.
+func TestEncodeSnapshotSizedExactly(t *testing.T) {
+	cells := make([]uint64, 2*5)
+	rounds := []*RoundState{
+		{Round: 1, RosterSize: 3, D: 2, W: 5, Closed: true, Cells: cells,
+			Reported: []bool{true, true, false}, Adjusts: map[int][]uint64{0: cells, 1: cells}},
+		{Round: 2, Campaign: 7, RosterSize: 3, D: 2, W: 5, Cells: cells, Reported: make([]bool, 3)},
+	}
+	roster := map[int][]byte{0: []byte("key-0"), 2: []byte("key-two")}
+	campaigns := map[uint32][]byte{7: make([]byte, campaignBodyMin)}
+	buf := encodeSnapshot(roster, campaigns, rounds, 4, 3)
+	if len(buf) != cap(buf) {
+		t.Fatalf("snapshot of %d bytes encoded into a %d-byte buffer", len(buf), cap(buf))
+	}
+}

@@ -101,16 +101,17 @@ func writeSnapshot(path string, roster map[int][]byte, campaigns map[uint32][]by
 
 // encodeSnapshot serializes the state with the trailing CRC.
 func encodeSnapshot(roster map[int][]byte, campaigns map[uint32][]byte, rounds []*RoundState, configVersion, rosterVersion uint32) []byte {
-	size := len(snapMagic) + 4 + 8 + 8
+	size := len(snapMagic) + 4 + 8 + 8 // magic, version, versions, campaignCount
 	camps := sortedCampaignIDs(campaigns)
 	for _, id := range camps {
 		size += 8 + len(campaigns[id])
 	}
 	users := sortedUsers(roster)
+	size += 8 // rosterCount
 	for _, u := range users {
 		size += 16 + len(roster[u])
 	}
-	size += 8
+	size += 8 // roundCount
 	for _, rs := range rounds {
 		size += 62 + (rs.RosterSize+7)/8 + 8
 		for range rs.Adjusts {

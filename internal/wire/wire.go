@@ -179,6 +179,15 @@ func (s *Server) acceptLoop() {
 			}
 		}
 		s.mu.Lock()
+		select {
+		case <-s.done:
+			// Close already closed the tracked connections; one accepted
+			// just before it must not be served, or Close waits on it.
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
